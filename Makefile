@@ -30,12 +30,15 @@ RESIZETIMEOUT ?= 300s
 # interop matrix, sub-block property tests, deterministic Auto-policy flip),
 # all under -race.
 COMPTIMEOUT ?= 120s
+# flake-hunt repetition count and its overall bound per package.
+FLAKECOUNT ?= 5
+FLAKETIMEOUT ?= 900s
 # Floor for the elastic resize paths (internal/core/elastic.go): the resize
 # state machine's correctness is proven almost entirely by the chaos
 # harness, so untested branches there are unguarded rollback paths.
 RESIZE_COVER_FLOOR ?= 75
 
-.PHONY: check vet staticcheck build test race chaos swarm-smoke shard-smoke resize-smoke comp-smoke fuzz-smoke bench bench-compare cover
+.PHONY: check vet staticcheck build test race chaos swarm-smoke shard-smoke resize-smoke comp-smoke fuzz-smoke bench bench-compare cover flake-hunt
 
 check: vet staticcheck build test race chaos swarm-smoke shard-smoke resize-smoke comp-smoke fuzz-smoke cover bench-compare
 
@@ -82,6 +85,17 @@ shard-smoke:
 	$(GO) test -race -timeout=$(SHARDTIMEOUT) \
 		-run='TestShardChaos|TestShardRouting|TestBreaker|TestRing|TestRangeKey' \
 		./internal/exp ./internal/core ./internal/orb ./internal/shard
+
+# flake-hunt repeats the transfer, pipeline, compression, shard and chaos
+# suites of internal/core plus the orb drain/admission tests under the race
+# detector at several GOMAXPROCS settings, to shake out ordering races. Not
+# part of `check`: it is slow by design. Raise FLAKECOUNT for a longer hunt.
+flake-hunt:
+	$(GO) test -race -count=$(FLAKECOUNT) -cpu=1,2,4 -timeout=$(FLAKETIMEOUT) \
+		-run='TestInvoke|TestStream|TestFrameSchedule|TestPipelin|TestCompress|TestShard|TestChaos|TestServerPreset|TestClientUneven|TestTiming|TestKeepalive|TestObjectShutdown' \
+		./internal/core
+	$(GO) test -race -count=$(FLAKECOUNT) -cpu=1,2,4 -timeout=$(FLAKETIMEOUT) \
+		-run='Shutdown|Drain|Admission' ./internal/orb
 
 # Elastic-membership gate: the deterministic membership-chaos harness (50
 # seeded fault schedules spanning every resize phase), the 200-cycle

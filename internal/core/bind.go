@@ -60,11 +60,11 @@ type BindOptions struct {
 	// as with the depth-1 engine, the SPMD discipline requires every thread
 	// to issue the same invocations in the same order.
 	PipelineDepth int
-	// StreamChunkElems tunes the streamed centralized transfer: large
-	// centralized arguments are gathered, shipped, and scattered in chunks
-	// of this many elements, overlapping collective (un)marshalling with
-	// the wire. 0 means DefaultStreamChunkElems; negative disables
-	// streaming (whole-sequence transfers, the pre-pipelining behavior).
+	// StreamChunkElems tunes the streamed centralized transfer: centralized
+	// invocations with an In/InOut argument of at least two chunks gather,
+	// ship, and scatter in chunks of this many elements, overlapping
+	// collective (un)marshalling with the wire. Values ≤ 0 mean
+	// DefaultStreamChunkElems.
 	StreamChunkElems int
 	// Sharding configures consistent-hash routing across the profiles of a
 	// multi-profile reference, each profile being one shard group announced
@@ -199,8 +199,7 @@ type Binding struct {
 	laneSeq  uint64
 	inflight *obs.Gauge // lanes currently busy; nil when metrics are off
 
-	// chunkElems is the streamed-transfer chunk size in elements; 0 disables
-	// streaming on this binding.
+	// chunkElems is the streamed-transfer chunk size in elements.
 	chunkElems int
 
 	// comp is the binding's offered compression mask (BindOptions.Compression
@@ -401,10 +400,8 @@ func SPMDBindRef(comm *rts.Comm, ref orb.IOR, opts ...BindOptions) (*Binding, er
 		}
 	}
 	ce := o.StreamChunkElems
-	if ce == 0 {
+	if ce <= 0 {
 		ce = DefaultStreamChunkElems
-	} else if ce < 0 {
-		ce = 0
 	}
 	b := &Binding{
 		comm:       engine,

@@ -372,16 +372,6 @@ func (o *Object) span(token uint32, ph obs.Phase, start time.Time) {
 		Start: start.UnixNano(), Dur: int64(time.Since(start))})
 }
 
-// spanCodec is span carrying the wire-compression mask in effect for the
-// phase (0 when the transfer ran raw).
-func (o *Object) spanCodec(token uint32, ph obs.Phase, start time.Time, mask uint8) {
-	if o.rec == nil {
-		return
-	}
-	o.rec.Record(obs.Span{Trace: uint64(token), Phase: ph, Rank: int32(o.comm.Rank()),
-		Start: start.UnixNano(), Dur: int64(time.Since(start)), Codec: int32(mask)})
-}
-
 // Ref returns the object's reference.
 func (o *Object) Ref() orb.IOR { return o.ref }
 

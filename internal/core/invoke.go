@@ -8,11 +8,12 @@ import (
 	"time"
 
 	"repro/internal/cdr"
-	"repro/internal/dist"
+	"repro/internal/dseq"
 	"repro/internal/obs"
 	"repro/internal/orb"
 	"repro/internal/rts"
 	"repro/internal/wire"
+	"repro/internal/zcodec"
 )
 
 // Timing records where a blocking invocation spent its time, as observed by
@@ -57,16 +58,6 @@ func (b *Binding) spanDur(token uint32, ph obs.Phase, start time.Time, dur time.
 	}
 	b.rec.Record(obs.Span{Trace: uint64(token), Phase: ph, Rank: int32(b.comm.Rank()),
 		Start: start.UnixNano(), Dur: int64(dur)})
-}
-
-// spanCodec is span carrying the negotiated wire-compression mask in effect
-// for the phase (0 when the transfer ran raw).
-func (b *Binding) spanCodec(token uint32, ph obs.Phase, start time.Time, mask uint8) {
-	if b.rec == nil {
-		return
-	}
-	b.rec.Record(obs.Span{Trace: uint64(token), Phase: ph, Rank: int32(b.comm.Rank()),
-		Start: start.UnixNano(), Dur: int64(time.Since(start)), Codec: int32(mask)})
 }
 
 // spanShard is span carrying the 1-based shard attribute: which shard group
@@ -145,10 +136,12 @@ func (b *Binding) InvokeMethod(method Method, op string, scalars []byte, args []
 func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scalars []byte, args []DistArg, timing *Timing) ([]byte, error) {
 	comm := ln.comm
 	start := time.Now()
-	if timing != nil {
-		*timing = Timing{}
-		defer func() { timing.Total = time.Since(start) }()
+	var scratch Timing
+	if timing == nil {
+		timing = &scratch
 	}
+	*timing = Timing{}
+	defer func() { timing.Total = time.Since(start) }()
 	desc, ok := b.ops[op]
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown operation %q", ErrArgMismatch, op)
@@ -195,340 +188,338 @@ func (b *Binding) invoke(ln *bindLane, method Method, op string, shardKey, scala
 	}
 	defer b.span(token, obs.PhaseInvoke, start)
 
-	switch method {
-	case Centralized:
-		// Streamed transfers ship chunk Data messages to the primary
-		// profile's endpoints, so a shard-routed invocation takes the
-		// whole-payload path (the request itself carries everything and
-		// follows the ring).
-		if len(shardKey) == 0 && b.streamEligible(args) {
-			return b.invokeCentralizedStreamed(comm, token, op, scalars, args, desc, timing)
-		}
-		return b.invokeCentralized(comm, token, op, shardKey, scalars, args, desc, timing)
-	case Multiport:
-		return b.invokeMultiport(comm, token, op, scalars, args, desc, timing)
-	default:
+	if method != Centralized && method != Multiport {
 		return nil, fmt.Errorf("core: unknown method %v", method)
 	}
+	return b.transfer(comm, token, method, op, shardKey, scalars, args, desc, timing)
 }
 
-// invokeCentralized implements the paper's §3.2 client side: synchronize,
-// gather and marshal at the communicating thread, one request message, then
-// scatter the results.
-func (b *Binding) invokeCentralized(comm *rts.Comm, token uint32, op string, shardKey, scalars []byte, args []DistArg, desc OpDesc, timing *Timing) ([]byte, error) {
-	// Gather the distributed arguments at thread 0. The gathers run on the
-	// lane communicator so concurrent invocations on other lanes cannot
-	// intercept the traffic.
-	gatherStart := time.Now()
-	payloads := make([][]byte, len(args))
+// transfer runs one invocation's request and reply legs through the leg
+// executor (xfer.go): the paper's §3.2 centralized client side (gather and
+// marshal at the communicating thread, one request, scatter the results) and
+// its §3.3 multi-port side (the header travels centrally and alone, the data
+// flows directly between the owning threads, and the threads synchronize
+// after the invocation) are the same skeleton over different legs.
+//
+// A large centralized invocation streams: its request leg is chunked behind
+// the header, overlapping collective gathers with the wire. A shard-routed
+// one never does — chunk Data messages go to the primary profile's
+// endpoints, while the request itself follows the ring — so it, like any
+// small one, carries its data inline.
+//
+// The skeleton is collective: every thread executes the same collectives no
+// matter where its local work fails. Local failures are captured and fed
+// into the agreements instead of returned early, so a thread whose data
+// connection was cut mid-frame cannot strand the others in a collective
+// they entered and it skipped. The inline carrier has no agreement before
+// shareMeta: its request leg fails alike on every thread.
+func (b *Binding) transfer(comm *rts.Comm, token uint32, method Method, op string, shardKey, scalars []byte, args []DistArg, desc OpDesc, timing *Timing) ([]byte, error) {
+	me := comm.Rank()
+	multi := method == Multiport
+	streamed := !multi && len(shardKey) == 0 && b.streamEligible(args)
+	inline := !multi && !streamed
+	h := &invocationHeader{
+		Op: op, Method: method, Streamed: streamed, Token: token,
+		ClientRanks: comm.Size(), Epoch: b.refEpoch, Scalars: scalars,
+		Args: make([]headerArg, len(args)),
+	}
+	seqs := make([]dseq.Transferable, len(args))
+	lens := make([]int, len(args)) // request-leg lengths; -1: Out
 	for i, a := range args {
+		seqs[i] = a.Seq
+		h.Args[i] = headerArg{Dir: a.Dir, Elem: a.Seq.ElemName()}
+		lens[i] = -1
 		if a.Dir == Out {
-			continue
+			h.Args[i].Spec = a.Seq.Spec()
+		} else {
+			h.Args[i].Layout = a.Seq.Layout()
+			lens[i] = a.Seq.Len()
 		}
-		p, err := gatherMarshalOn(comm, a.Seq)
+	}
+
+	req := leg{token: token, seqs: seqs, me: me}
+	var attach []int
+	var localErr error
+	switch {
+	case multi:
+		req.pieces, attach, localErr = b.forwardPlan(args, desc, me)
+	case inline:
+		req.comm, req.pieces, req.inline = comm, chunkPieces(lens, 0), make([][]byte, len(args))
+	default:
+		ce := chunkElemsFor(b.chunkElems, lens)
+		h.ChunkElems = uint32(ce)
+		req.comm, req.pieces, req.rec = comm, chunkPieces(lens, ce), b.rec
+		mask, err := b.streamMask(comm)
 		if err != nil {
 			return nil, err
 		}
-		payloads[i] = p
+		req.mask = mask
 	}
-	if timing != nil {
-		timing.Gather = time.Since(gatherStart)
+	var sink chan *wire.Data
+	if !inline && (multi || me == 0) {
+		sink = make(chan *wire.Data, bucketCapacity)
+		b.client.RegisterDataSink(token, sink)
+		defer func() {
+			b.client.UnregisterDataSink(token)
+			drainData(sink)
+		}()
 	}
-	b.span(token, obs.PhaseGather, gatherStart)
 
-	var meta invokeMeta
-	if comm.Rank() == 0 {
+	// request encodes the header at the communicating thread; exchange
+	// sends it and collects the outcome there.
+	request := func() []byte {
 		packStart := time.Now()
-		h := &invocationHeader{
-			Op: op, Method: Centralized, Token: token,
-			ClientRanks: comm.Size(), Epoch: b.refEpoch, Scalars: scalars,
-			Args: make([]headerArg, len(args)),
-		}
-		for i, a := range args {
-			h.Args[i] = headerArg{Dir: a.Dir, Elem: a.Seq.ElemName()}
-			if a.Dir == Out {
-				h.Args[i].Spec = a.Seq.Spec()
-			} else {
-				h.Args[i].Layout = a.Seq.Layout()
-				h.Args[i].Data = payloads[i]
-			}
-		}
 		e := orb.NewArgEncoder()
 		h.encode(e)
-		if timing != nil {
+		if !multi {
 			timing.Pack = time.Since(packStart)
+			b.span(token, obs.PhasePack, packStart)
 		}
-		b.span(token, obs.PhasePack, packStart)
-		sendStart := time.Now()
-		replyBytes, served, err := b.wireInvoke(op, e.Bytes(), shardKey)
-		if timing != nil {
-			timing.SendRecv = time.Since(sendStart)
-		}
-		b.spanShard(token, obs.PhaseSendRecv, sendStart, served)
-		meta = metaFromReply(replyBytes, err, Centralized, false)
+		return e.Bytes()
 	}
-	if err := shareMeta(comm, &meta); err != nil {
-		return nil, err
+	var meta invokeMeta
+	var served int32
+	exchange := func(payload []byte) {
+		reply, s, err := b.wireInvoke(op, payload, shardKey)
+		served, meta = s, metaFromReply(reply, err, method, streamed)
 	}
-	if meta.err != nil {
-		return nil, meta.err
-	}
-
-	// Scatter the results. The loop's own collectives keep the threads in
-	// step on success; the trailing agreement turns any thread-local
-	// failure (a result resize, a bad scatter payload) into one error seen
-	// identically everywhere instead of a divergent early return.
-	scatterStart := time.Now()
-	scatterErr := func() error {
-		for i, a := range args {
-			if a.Dir == In {
-				continue
-			}
-			if a.Dir == Out {
-				if err := a.Seq.ResizeAlloc(meta.lengths[i]); err != nil {
-					return err
-				}
-			}
-			var data []byte
-			if comm.Rank() == 0 {
-				data = meta.datas[i]
-			}
-			if err := scatterUnmarshalOn(comm, a.Seq, data); err != nil {
-				return err
-			}
-		}
-		return nil
-	}()
-	if timing != nil {
-		timing.Scatter = time.Since(scatterStart)
-	}
-	b.span(token, obs.PhaseScatter, scatterStart)
-	if agreed := agreeError(comm, scatterErr); agreed != nil {
-		return nil, agreed
-	}
-	return meta.scalars, nil
-}
-
-// invokeMultiport implements the paper's §3.3 client side: the header is
-// delivered centrally, the argument data flows directly between the owning
-// threads, and the threads synchronize after the invocation.
-//
-// The function is a fixed collective skeleton: every thread executes the
-// same sequence of collectives (shareMeta, then two agreeError exchanges)
-// no matter where its local work fails. Local errors are captured and fed
-// into the agreement instead of returned early, so a thread whose data
-// connection was cut mid-frame cannot strand the others in a collective
-// they entered and it skipped.
-func (b *Binding) invokeMultiport(comm *rts.Comm, token uint32, op string, scalars []byte, args []DistArg, desc OpDesc, timing *Timing) ([]byte, error) {
-	me := comm.Rank()
-	cRanks := comm.Size()
-	sRanks := b.ref.Threads
-
-	sink := make(chan *wire.Data, bucketCapacity)
-	b.client.RegisterDataSink(token, sink)
-	defer b.client.UnregisterDataSink(token)
-
-	type argPlan struct {
-		serverLayout dist.Layout
-		fwdMine      []dist.Move
-	}
-	plans := make([]argPlan, len(args))
-
-	type replyResult struct {
-		payload []byte
-		err     error
-	}
-	replyCh := make(chan replyResult, 1)
-	launched := false
-	packTotal := time.Duration(0)
 	sendStart := time.Now()
-
-	// Forward phase (purely local): plan the flows, launch the header from
-	// the communicating thread, attach for return flows, and send this
-	// thread's chunks directly to their owning server threads.
-	localErr := func() error {
-		sendTargets := map[int]bool{}
-		attachTargets := map[int]bool{}
-		for i, a := range args {
-			spec := desc.Args[i].specOrBlock()
-			if a.Dir != Out {
-				sl, err := spec.Layout(a.Seq.Len(), sRanks)
-				if err != nil {
-					return err
-				}
-				plans[i].serverLayout = sl
-				moves, err := dist.Plan(a.Seq.Layout(), sl)
-				if err != nil {
-					return err
-				}
-				plans[i].fwdMine = dist.PlanBySource(moves, cRanks)[me]
-				for _, m := range plans[i].fwdMine {
-					sendTargets[m.DstRank] = true
-				}
-				if a.Dir == InOut {
-					rev, err := dist.Plan(sl, a.Seq.Layout())
-					if err != nil {
-						return err
-					}
-					for _, m := range dist.PlanByDest(rev, cRanks)[me] {
-						attachTargets[m.SrcRank] = true
-					}
-				}
-			} else {
-				// The result length is unknown; conservatively attach to every
-				// server thread so any of them can reach us.
-				for r := 0; r < sRanks; r++ {
-					attachTargets[r] = true
-				}
-			}
+	if inline {
+		// The request leg gathers each argument whole at the communicating
+		// thread, where the payloads join the header.
+		_, err := req.send(nil)
+		timing.Gather = time.Since(sendStart)
+		b.span(token, obs.PhaseGather, sendStart)
+		if err != nil {
+			return nil, err
 		}
-
-		// The communicating thread launches the request; the header travels
-		// first and alone, as §3.3 prescribes, so concurrent clients contend
-		// only at the communicating thread.
 		if me == 0 {
-			h := &invocationHeader{
-				Op: op, Method: Multiport, Token: token,
-				ClientRanks: cRanks, Epoch: b.refEpoch, Scalars: scalars,
-				Args: make([]headerArg, len(args)),
+			for i, p := range req.inline {
+				h.Args[i].Data = p
 			}
-			for i, a := range args {
-				h.Args[i] = headerArg{Dir: a.Dir, Elem: a.Seq.ElemName()}
-				if a.Dir == Out {
-					h.Args[i].Spec = a.Seq.Spec()
-				} else {
-					h.Args[i].Layout = a.Seq.Layout()
-				}
-			}
-			e := orb.NewArgEncoder()
-			h.encode(e)
-			launched = true
+			payload := request()
+			rrStart := time.Now()
+			exchange(payload)
+			timing.SendRecv = time.Since(rrStart)
+			b.spanShard(token, obs.PhaseSendRecv, rrStart, served)
+		}
+		if err := shareMeta(comm, &meta); err != nil {
+			return nil, err
+		}
+		if meta.err != nil {
+			return nil, meta.err
+		}
+	} else {
+		// The communicating thread launches the request first, so the header
+		// travels ahead of the data (the server buffers early Data frames
+		// per token either way) and concurrent clients contend only there.
+		done := make(chan struct{})
+		launched := me == 0 && localErr == nil
+		if launched {
+			payload := request()
 			go func() {
-				payload, err := b.client.Invoke(b.ref, op, e.Bytes(), false)
-				replyCh <- replyResult{payload: payload, err: err}
+				exchange(payload)
+				close(done)
 			}()
 		}
-
-		// Attach to return-flow sources we are not already sending to.
-		for r := range attachTargets {
-			if sendTargets[r] {
-				continue
+		for _, r := range attach {
+			if localErr != nil {
+				break
 			}
-			attach := &wire.Data{RequestID: token, SrcRank: uint32(me), DstRank: uint32(r), Count: 0}
-			if err := b.client.SendData(b.ref, attach); err != nil {
-				return err
+			if err := b.client.SendData(b.ref, &wire.Data{RequestID: token, SrcRank: uint32(me), DstRank: uint32(r)}); err != nil {
+				localErr = commFailure(err)
 			}
 		}
-
-		for i, a := range args {
-			if a.Dir == Out {
-				continue
-			}
-			for _, m := range plans[i].fwdMine {
-				packStart := time.Now()
-				payload, err := a.Seq.MarshalRange(m.SrcOff, m.Len)
-				packTotal += time.Since(packStart)
-				if err != nil {
-					return err
-				}
-				msg := &wire.Data{
-					RequestID: token,
-					ArgIndex:  uint32(i),
-					SrcRank:   uint32(me),
-					DstRank:   uint32(m.DstRank),
-					DstOff:    uint64(m.DstOff),
-					Count:     uint64(m.Len),
-					Payload:   payload,
-				}
-				if err := b.client.SendData(b.ref, msg); err != nil {
-					return err
-				}
+		if localErr == nil {
+			var marshal time.Duration
+			marshal, localErr = req.send(func(d *wire.Data) error { return b.client.SendData(b.ref, d) })
+			if multi {
+				timing.Pack = marshal
+				b.spanDur(token, obs.PhasePack, sendStart, marshal)
+			} else {
+				timing.Gather = marshal
+				b.spanDur(token, obs.PhaseGather, sendStart, marshal)
 			}
 		}
-		return nil
-	}()
-	if timing != nil {
-		timing.Pack = packTotal
-	}
-	b.spanDur(token, obs.PhasePack, sendStart, packTotal)
-
-	// The communicating thread collects the reply (bounded by the client
-	// timeout even when another thread's sends failed and the server never
-	// answers); everyone shares it.
-	var meta invokeMeta
-	if me == 0 && launched {
-		res := <-replyCh
-		meta = metaFromReply(res.payload, res.err, Multiport, false)
-	}
-	if timing != nil {
+		// The communicating thread collects the reply (bounded by the client
+		// timeout even when another thread's sends failed and the server
+		// never answers); everyone shares it, then agrees on the request leg.
+		if launched {
+			<-done
+		}
 		timing.SendRecv = time.Since(sendStart)
-	}
-	b.span(token, obs.PhaseSendRecv, sendStart)
-	if err := shareMeta(comm, &meta); err != nil {
-		return nil, err
-	}
-	phaseErr := localErr
-	if phaseErr == nil {
-		phaseErr = meta.err
-	}
-	if agreed := agreeError(comm, phaseErr); agreed != nil {
-		return nil, agreed
+		b.span(token, obs.PhaseSendRecv, sendStart)
+		if err := shareMeta(comm, &meta); err != nil {
+			return nil, err
+		}
+		if localErr == nil {
+			localErr = meta.err
+		}
+		if agreed := agreeError(comm, localErr); agreed != nil {
+			return nil, agreed
+		}
 	}
 
-	// Receive the return flows (purely local; bounded by the client
-	// timeout).
-	unpackStart := time.Now()
+	// Reply leg. A streamed server wrote every reply chunk before the Reply
+	// on the same connection, so by now they are in (or streaming into) the
+	// sink in schedule order; the reply chunk size is recomputed from the
+	// result lengths exactly as the server did.
+	rep := leg{token: token, reply: true, seqs: seqs, me: me}
+	recvStart := time.Now()
 	recvErr := func() error {
+		if len(meta.lengths) != len(args) {
+			return fmt.Errorf("%w: reply carries %d args, want %d", ErrBadHeader, len(meta.lengths), len(args))
+		}
 		for i, a := range args {
-			if a.Dir == In {
+			lens[i] = -1
+			switch {
+			case a.Dir == In:
 				continue
-			}
-			var clientLayout dist.Layout
-			var serverLayout dist.Layout
-			if a.Dir == Out {
+			case a.Dir == Out:
 				if err := a.Seq.ResizeAlloc(meta.lengths[i]); err != nil {
 					return err
 				}
-				clientLayout = a.Seq.Layout()
-				spec := desc.Args[i].specOrBlock()
-				sl, err := spec.Layout(meta.lengths[i], sRanks)
+			case meta.lengths[i] != a.Seq.Len():
+				return fmt.Errorf("%w: inout arg %d length %d from server, have %d", ErrBadHeader, i, meta.lengths[i], a.Seq.Len())
+			}
+			lens[i] = meta.lengths[i]
+			if multi {
+				sl, err := desc.Args[i].specOrBlock().Layout(lens[i], b.ref.Threads)
 				if err != nil {
 					return err
 				}
-				serverLayout = sl
-			} else {
-				clientLayout = a.Seq.Layout()
-				serverLayout = plans[i].serverLayout
-			}
-			rev, err := dist.Plan(serverLayout, clientLayout)
-			if err != nil {
-				return err
-			}
-			mine := dist.PlanByDest(rev, cRanks)[me]
-			if err := consumeMoves(sink, nil, b.client.Timeout, uint32(i), true, mine, a.Seq); err != nil {
-				return err
+				if rep.pieces, err = planMoves(rep.pieces, i, sl, a.Seq.Layout(), me, false); err != nil {
+					return err
+				}
 			}
 		}
-		return nil
+		switch {
+		case inline:
+			rep.comm, rep.pieces, rep.inline = comm, chunkPieces(lens, 0), meta.datas
+		case !multi:
+			rep.comm, rep.pieces, rep.rec = comm, chunkPieces(lens, chunkElemsFor(int(h.ChunkElems), lens)), b.rec
+		}
+		return rep.recv(sink, nil, b.client.Timeout)
 	}()
-	if timing != nil {
-		timing.Unpack = time.Since(unpackStart)
+	if multi {
+		timing.Unpack = time.Since(recvStart)
+		b.span(token, obs.PhaseUnpack, recvStart)
+	} else {
+		timing.Scatter = time.Since(recvStart)
+		b.span(token, obs.PhaseScatter, recvStart)
 	}
-	b.span(token, obs.PhaseUnpack, unpackStart)
 
-	// Post-invocation synchronization (the t_barrier of Table 2), fused
-	// with error agreement so a thread whose return flows failed cannot
-	// leave the others in a hung barrier.
+	// The closing agreement turns any thread-local failure into one error
+	// seen identically everywhere; under multi-port it is also the
+	// post-invocation synchronization (the t_barrier of Table 2).
 	barrierStart := time.Now()
 	agreed := agreeError(comm, recvErr)
-	if timing != nil {
+	if multi {
 		timing.Barrier = time.Since(barrierStart)
+		b.span(token, obs.PhaseBarrier, barrierStart)
 	}
-	b.span(token, obs.PhaseBarrier, barrierStart)
 	if agreed != nil {
 		return nil, agreed
 	}
 	return meta.scalars, nil
+}
+
+// forwardPlan plans a multi-port request leg: this thread's moves to the
+// server threads, plus the server threads it must attach to — those owing it
+// return flows that it does not already send to, so they can reach it.
+func (b *Binding) forwardPlan(args []DistArg, desc OpDesc, me int) ([]piece, []int, error) {
+	sRanks := b.ref.Threads
+	sends := make([]bool, sRanks)
+	owes := make([]bool, sRanks)
+	var ps []piece
+	for i, a := range args {
+		if a.Dir == Out {
+			// The result length is unknown; conservatively attach to every
+			// server thread so any of them can reach us.
+			for r := range owes {
+				owes[r] = true
+			}
+			continue
+		}
+		sl, err := desc.Args[i].specOrBlock().Layout(a.Seq.Len(), sRanks)
+		if err != nil {
+			return nil, nil, err
+		}
+		n := len(ps)
+		if ps, err = planMoves(ps, i, a.Seq.Layout(), sl, me, true); err != nil {
+			return nil, nil, err
+		}
+		for _, p := range ps[n:] {
+			sends[p.DstRank] = true
+		}
+		if a.Dir == InOut {
+			back, err := planMoves(nil, i, sl, a.Seq.Layout(), me, false)
+			if err != nil {
+				return nil, nil, err
+			}
+			for _, p := range back {
+				owes[p.SrcRank] = true
+			}
+		}
+	}
+	var attach []int
+	for r := range owes {
+		if owes[r] && !sends[r] {
+			attach = append(attach, r)
+		}
+	}
+	return ps, attach, nil
+}
+
+// streamEligible decides whether a centralized invocation streams. The
+// decision is a pure function of the binding options and the arguments'
+// global lengths, so every SPMD thread decides identically without
+// communicating: at least one In/InOut argument must be large enough (two
+// chunks) for the overlap to pay.
+func (b *Binding) streamEligible(args []DistArg) bool {
+	for _, a := range args {
+		if a.Dir != Out && a.Seq.Len() >= 2*b.chunkElems {
+			return true
+		}
+	}
+	return false
+}
+
+// streamMask agrees on the compression mask for one streamed invocation:
+// thread 0 resolves the connection's negotiated mask (running the handshake
+// on first use) and shares it, so every thread feeds the collective chunk
+// marshalling the same mask. With compression off on the binding there is
+// nothing to agree on — the collective schedule is exactly the raw engine's.
+func (b *Binding) streamMask(comm *rts.Comm) (uint8, error) {
+	if b.comp == 0 {
+		return 0, nil
+	}
+	var mb []byte
+	if comm.Rank() == 0 {
+		wait := b.client.Timeout
+		if wait <= 0 || wait > 5*time.Second {
+			wait = 5 * time.Second
+		}
+		m := b.client.NegotiatedCompression(b.ref, wait) & b.comp
+		// Under Auto the estimator can veto a negotiated codec for this
+		// invocation: on a link faster than we can encode, raw wins. The
+		// decision is made once, at the same single point the mask is
+		// resolved, and broadcast — so the collective schedule stays
+		// deterministic across threads.
+		if m != 0 && b.policy == zcodec.PolicyAuto && !compressionWins(b.client.WireBandwidth(b.ref)) {
+			m = 0
+			b.compSkipped.Inc()
+		}
+		mb = []byte{m}
+	}
+	mb, err := comm.Bcast(0, mb)
+	if err != nil {
+		return 0, err
+	}
+	if len(mb) != 1 {
+		return 0, fmt.Errorf("%w: compression mask agreement", ErrBadHeader)
+	}
+	return mb[0], nil
 }
 
 // agreeError merges per-thread outcomes into one collective verdict: every

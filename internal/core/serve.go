@@ -6,11 +6,8 @@ import (
 	"time"
 
 	"repro/internal/cdr"
-	"repro/internal/dist"
-	"repro/internal/dseq"
 	"repro/internal/obs"
 	"repro/internal/orb"
-	"repro/internal/transport"
 	"repro/internal/wire"
 	"repro/internal/zcodec"
 )
@@ -236,9 +233,9 @@ func (o *Object) processCall(h *invocationHeader) (reply []byte, stop bool, err 
 		return nil, false, orb.BadOperation(h.Op)
 	}
 	me := o.comm.Rank()
-	sRanks := o.comm.Size()
 
-	// Build the server-side argument sequences.
+	// Build the server-side argument sequences; lengths doubles as the
+	// request leg's (-1: Out, which does not travel on it).
 	lengths := make([]int, len(h.Args))
 	for i, a := range h.Args {
 		if a.Dir == Out {
@@ -258,13 +255,16 @@ func (o *Object) processCall(h *invocationHeader) (reply []byte, stop bool, err 
 		}
 	}
 
-	// Buckets exist to accumulate multi-port and streamed transfers (plus
-	// attachments); plain centralized calls carry their data inline, so skip
-	// the bucket (and its buffered channel) entirely for them. dropBucket
-	// still runs in case a stray Data message created one for this token.
+	// Buckets exist to accumulate framed transfers (plus multi-port
+	// attachments); an inline call carries its data in the request, so it
+	// skips the bucket (and its buffered channel) entirely. dropBucket still
+	// runs in case a stray Data message created one for this token.
+	multi := h.Method == Multiport
 	var bucket *dataBucket
-	if h.Method == Multiport || h.Streamed {
+	var frames chan *wire.Data
+	if multi || h.Streamed {
 		bucket = o.bucket(h.Token)
+		frames = bucket.ch
 	}
 	defer o.dropBucket(h.Token)
 
@@ -274,34 +274,30 @@ func (o *Object) processCall(h *invocationHeader) (reply []byte, stop bool, err 
 	// upcall coherently everywhere instead of wedging the collective loop.
 	recvStart := time.Now()
 	recvErr := func() error {
-		if h.Streamed {
-			return o.receiveStreamed(bucket, h, args)
-		}
-		for i, a := range h.Args {
-			if a.Dir == Out {
-				continue
-			}
-			switch h.Method {
-			case Centralized:
-				// Thread 0 holds the full payload; scatter it per the server
-				// layout (collective).
-				if err := args[i].ScatterUnmarshal(0, a.Data); err != nil {
-					return &orb.SystemException{RepoID: orb.RepoMarshal, Message: err.Error()}
+		req := leg{token: h.Token, seqs: args, me: me}
+		switch {
+		case multi:
+			for i, a := range h.Args {
+				if a.Dir == Out {
+					continue
 				}
-			case Multiport:
-				moves, err := dist.Plan(a.Layout, args[i].Layout())
-				if err != nil {
-					return &orb.SystemException{RepoID: orb.RepoMarshal, Message: err.Error()}
-				}
-				if err := o.receiveMoves(bucket, uint32(i), dist.PlanByDest(moves, sRanks)[me], args[i]); err != nil {
-					return &orb.SystemException{RepoID: orb.RepoMarshal, Message: err.Error()}
+				var err error
+				if req.pieces, err = planMoves(req.pieces, i, a.Layout, args[i].Layout(), me, false); err != nil {
+					return err
 				}
 			}
+		case h.Streamed:
+			req.comm, req.pieces, req.rec = o.comm, chunkPieces(lengths, int(h.ChunkElems)), o.rec
+		default:
+			req.comm, req.pieces, req.inline = o.comm, chunkPieces(lengths, 0), make([][]byte, len(h.Args))
+			for i, a := range h.Args {
+				req.inline[i] = a.Data
+			}
 		}
-		return nil
+		return req.recv(frames, o.stop, o.opts.DataTimeout)
 	}()
 	o.span(h.Token, obs.PhaseRecvXfer, recvStart)
-	if agreed := agreeError(o.comm, recvErr); agreed != nil {
+	if agreed := agreeError(o.comm, sysErr(orb.RepoMarshal, recvErr)); agreed != nil {
 		// No thread runs the handler; thread 0 replies with the agreed
 		// error and serving continues.
 		return nil, false, agreed
@@ -338,59 +334,67 @@ func (o *Object) processCall(h *invocationHeader) (reply []byte, stop bool, err 
 		return nil, stop, agreed
 	}
 
-	// Return the Out/InOut argument data.
+	// Return the Out/InOut argument data. A streamed reply leg's chunks are
+	// written before the Reply is encoded, so same-connection ordering
+	// guarantees the client holds every chunk once it sees the Reply; the
+	// reply chunk size is recomputed from the final result lengths exactly
+	// as the client will.
 	sendStart := time.Now()
 	rh := &replyHeader{Scalars: out.Bytes(), Args: make([]replyArg, len(h.Args))}
 	sendErr := func() error {
+		rep := leg{token: h.Token, reply: true, seqs: args, me: me}
+		lens := make([]int, len(h.Args))
 		for i, a := range h.Args {
 			rh.Args[i] = replyArg{Dir: a.Dir, Length: args[i].Len()}
+			lens[i] = -1
+			if a.Dir == In {
+				continue
+			}
 			if a.Dir == InOut && args[i].Len() != a.Layout.Length {
 				return &orb.SystemException{
 					RepoID:  orb.RepoMarshal,
 					Message: fmt.Sprintf("handler resized inout arg %d from %d to %d", i, a.Layout.Length, args[i].Len()),
 				}
 			}
-		}
-		if h.Streamed {
-			return o.sendStreamed(bucket, h, args)
-		}
-		for i, a := range h.Args {
-			if a.Dir == In {
-				continue
-			}
-			switch h.Method {
-			case Centralized:
-				payload, err := args[i].GatherMarshal(0)
+			lens[i] = args[i].Len()
+			if multi {
+				// Plan toward the client's final layout for this argument.
+				cl, err := a.Layout, error(nil)
+				if a.Dir == Out {
+					cl, err = a.Spec.Layout(lens[i], h.ClientRanks)
+				}
+				if err == nil {
+					rep.pieces, err = planMoves(rep.pieces, i, args[i].Layout(), cl, me, true)
+				}
 				if err != nil {
-					return &orb.SystemException{RepoID: orb.RepoMarshal, Message: err.Error()}
-				}
-				rh.Args[i].Data = payload
-			case Multiport:
-				// Compute the client's final layout for this argument.
-				var clientLayout dist.Layout
-				if a.Dir == InOut {
-					clientLayout = a.Layout
-				} else {
-					spec := a.Spec
-					if spec == nil {
-						spec = dist.Block{}
-					}
-					cl, err := spec.Layout(args[i].Len(), h.ClientRanks)
-					if err != nil {
-						return &orb.SystemException{RepoID: orb.RepoMarshal, Message: err.Error()}
-					}
-					clientLayout = cl
-				}
-				moves, err := dist.Plan(args[i].Layout(), clientLayout)
-				if err != nil {
-					return &orb.SystemException{RepoID: orb.RepoMarshal, Message: err.Error()}
-				}
-				if err := o.sendMoves(bucket, h.Token, uint32(i), dist.PlanBySource(moves, sRanks)[me], args[i]); err != nil {
-					return &orb.SystemException{RepoID: orb.RepoComm, Message: err.Error()}
+					return sysErr(orb.RepoMarshal, err)
 				}
 			}
 		}
-		return nil
+		switch {
+		case h.Streamed:
+			mask, err := o.replyMask(bucket)
+			if err != nil {
+				return err
+			}
+			ce := chunkElemsFor(int(h.ChunkElems), lens)
+			rep.comm, rep.pieces, rep.mask, rep.rec = o.comm, chunkPieces(lens, ce), mask, o.rec
+		case !multi:
+			rep.comm, rep.pieces, rep.inline = o.comm, chunkPieces(lens, 0), make([][]byte, len(h.Args))
+			_, err := rep.send(nil)
+			for i, p := range rep.inline {
+				rh.Args[i].Data = p
+			}
+			return sysErr(orb.RepoComm, err)
+		}
+		_, err := rep.send(func(d *wire.Data) error {
+			c, err := bucket.conn(int(d.DstRank), o.stop, attachTimeout)
+			if err != nil {
+				return err
+			}
+			return c.WriteMessage(d)
+		})
+		return sysErr(orb.RepoComm, err)
 	}()
 	o.span(h.Token, obs.PhaseSendXfer, sendStart)
 	if agreed := agreeError(o.comm, sendErr); agreed != nil {
@@ -405,255 +409,41 @@ func (o *Object) processCall(h *invocationHeader) (reply []byte, stop bool, err 
 	return reply, stop, nil
 }
 
-// receiveStreamed consumes a streamed centralized request's chunk schedule:
-// for every In/InOut argument, thread 0 pulls the scheduled chunks off the
-// token's bucket and the threads collectively scatter each one. The schedule
-// always runs to completion — after a failure thread 0 substitutes fail
-// markers instead of pulling — so the collective loop cannot desynchronize,
-// and the first failure is reported once the schedule is done.
-func (o *Object) receiveStreamed(bucket *dataBucket, h *invocationHeader, args []dseq.Transferable) error {
-	me := o.comm.Rank()
-	ce := int(h.ChunkElems)
-	var firstErr error
-	for i, a := range h.Args {
-		if a.Dir == Out {
-			continue
-		}
-		st, ok := args[i].(dseq.StreamTransferable)
-		if !ok {
-			// Deterministic from the sequence types, so every thread returns
-			// here together, before any chunk collective.
-			return &orb.SystemException{RepoID: orb.RepoMarshal, Message: fmt.Sprintf("arg %d does not support streamed transfers", i)}
-		}
-		l := a.Layout.Length
-		nchunks := chunkCount(l, ce)
-		for k := 0; k < nchunks; k++ {
-			start, n := chunkRange(l, ce, k)
-			chunkStart := time.Now()
-			var payload []byte
-			var frame *wire.Data
-			if me == 0 {
-				if firstErr != nil {
-					payload = dseq.FailMarker
-				} else if d, err := nextChunk(bucket.ch, o.stop, o.opts.DataTimeout, uint32(i), false, start, n, k == nchunks-1); err != nil {
-					firstErr = err
-					payload = dseq.FailMarker
-				} else {
-					frame, payload = d, d.Payload
-				}
-			}
-			err := st.ScatterUnmarshalRange(o.comm, 0, start, n, payload)
-			if frame != nil {
-				frame.Release()
-			}
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			o.span(h.Token, obs.PhaseChunkRecv, chunkStart)
-		}
+// replyMask agrees on a streamed reply leg's compression mask: the request
+// arrived on the connection the reply chunks leave on, so thread 0 reads the
+// mask its adapter negotiated during the handshake and shares it before the
+// first collective marshal. Deterministically skipped (on every thread — the
+// options are replicated) when the object never accepts offers, so the raw
+// engine's collective schedule is untouched.
+func (o *Object) replyMask(bucket *dataBucket) (uint8, error) {
+	if o.opts.Server.Compression == 0 {
+		return 0, nil
 	}
-	if firstErr != nil {
-		return &orb.SystemException{RepoID: orb.RepoMarshal, Message: firstErr.Error()}
-	}
-	return nil
-}
-
-// sendStreamed returns a streamed centralized invocation's Out/InOut results
-// as chunked Data messages: the threads collectively gather-marshal each
-// scheduled chunk and thread 0 writes it to the client's connection, before
-// the Reply is encoded — same-connection ordering then guarantees the client
-// holds every chunk once it sees the Reply. The reply-leg chunk size is
-// recomputed from the final result lengths exactly as the client will.
-func (o *Object) sendStreamed(bucket *dataBucket, h *invocationHeader, args []dseq.Transferable) error {
-	me := o.comm.Rank()
-	outLens := make([]int, 0, len(args))
-	for i, a := range h.Args {
-		if a.Dir != In {
-			outLens = append(outLens, args[i].Len())
-		}
-	}
-	ce := chunkElemsFor(int(h.ChunkElems), outLens)
-	var conn *transport.Conn
-	var firstErr error
-	gatherDown := false // stop issuing collectives after one fails
-	connDown := false   // stop writing after the connection fails
-
-	// Agree on the reply leg's compression mask: the request arrived on the
-	// connection the reply chunks leave on, so thread 0 reads the mask its
-	// adapter negotiated during the handshake and shares it before the first
-	// collective marshal. Deterministically skipped (on every thread — the
-	// options are replicated) when the object never accepts offers, so the
-	// raw engine's collective schedule is untouched.
-	mask := uint8(0)
-	if o.opts.Server.Compression != 0 {
-		var mb []byte
-		if me == 0 {
-			if c, err := bucket.conn(0, o.stop, attachTimeout); err == nil {
-				conn = c
-				codecs, _ := c.Compression()
-				mask = codecs
-			}
+	var mb []byte
+	if o.comm.Rank() == 0 {
+		// A missing attachment resolves to raw here; the send loop's own
+		// connection lookup reports the failure through the usual path.
+		mask := uint8(0)
+		if c, err := bucket.conn(0, o.stop, attachTimeout); err == nil {
+			mask, _ = c.Compression()
 			// Under Auto the estimator can veto the negotiated codec for
 			// this reply leg: on a connection we can write faster than we
-			// can encode, raw wins. Decided once here, then broadcast, so
-			// the collective marshal schedule stays deterministic.
-			if mask != 0 && o.opts.Server.CompressionPolicy == zcodec.PolicyAuto && !compressionWins(conn.WriteBandwidth()) {
+			// can encode, raw wins.
+			if mask != 0 && o.opts.Server.CompressionPolicy == zcodec.PolicyAuto && !compressionWins(c.WriteBandwidth()) {
 				mask = 0
 				o.compSkipped.Inc()
 			}
-			// A missing attachment resolves to raw here; the send loop's own
-			// conn fetch reports the failure through the usual error path.
-			mb = []byte{mask}
 		}
-		mb, err := o.comm.Bcast(0, mb)
-		if err != nil {
-			return &orb.SystemException{RepoID: orb.RepoInternal, Message: err.Error()}
-		}
-		if len(mb) == 1 {
-			mask = mb[0]
-		}
+		mb = []byte{mask}
 	}
-
-	// With a codec engaged, thread 0 hands finished frames to a bounded
-	// send worker so chunk k+1 is gathered and encoded while chunk k is
-	// still being written — the server-side mirror of the client's
-	// pipelined request leg. A single worker draining a FIFO channel keeps
-	// frames in schedule order; raw replies keep the exact serial send.
-	var (
-		sendCh   chan *wire.Data
-		sendDone chan struct{}
-		sendErr  error // owned by the worker until sendDone is closed
-	)
-	if me == 0 && mask != 0 && conn != nil {
-		sendCh = make(chan *wire.Data, encodeAheadDepth)
-		sendDone = make(chan struct{})
-		go func() {
-			defer close(sendDone)
-			for msg := range sendCh {
-				if err := conn.WriteMessage(msg); err != nil && sendErr == nil {
-					sendErr = err
-				}
-			}
-		}()
+	mb, err := o.comm.Bcast(0, mb)
+	if err != nil {
+		return 0, &orb.SystemException{RepoID: orb.RepoInternal, Message: err.Error()}
 	}
-
-	for i, a := range h.Args {
-		if a.Dir == In {
-			continue
-		}
-		st, ok := args[i].(dseq.StreamTransferable)
-		if !ok {
-			if sendCh != nil {
-				close(sendCh)
-				<-sendDone
-			}
-			return &orb.SystemException{RepoID: orb.RepoMarshal, Message: fmt.Sprintf("arg %d does not support streamed transfers", i)}
-		}
-		l := args[i].Len()
-		nchunks := chunkCount(l, ce)
-		for k := 0; k < nchunks; k++ {
-			start, n := chunkRange(l, ce, k)
-			chunkStart := time.Now()
-			var payload []byte
-			if !gatherDown {
-				p, err := st.GatherMarshalRangeZ(o.comm, 0, start, n, mask)
-				if err != nil {
-					gatherDown = true
-					if firstErr == nil {
-						firstErr = err
-					}
-				} else {
-					payload = p
-				}
-			}
-			if me != 0 {
-				o.spanCodec(h.Token, obs.PhaseChunkSend, chunkStart, mask)
-				continue
-			}
-			if firstErr != nil {
-				payload = dseq.FailMarker
-			}
-			if !connDown && conn == nil {
-				c, err := bucket.conn(0, o.stop, attachTimeout)
-				if err != nil {
-					connDown = true
-					if firstErr == nil {
-						firstErr = err
-					}
-				} else {
-					conn = c
-				}
-			}
-			if !connDown {
-				msg := &wire.Data{
-					RequestID: h.Token, ArgIndex: uint32(i), SrcRank: 0, DstRank: 0,
-					DstOff: uint64(start), Count: uint64(n), Reply: true,
-					Flags: chunkFlagsZ(k == nchunks-1, payload), Payload: payload,
-				}
-				if sendCh != nil {
-					sendCh <- msg
-				} else if err := conn.WriteMessage(msg); err != nil {
-					connDown = true
-					if firstErr == nil {
-						firstErr = err
-					}
-				}
-			}
-			o.spanCodec(h.Token, obs.PhaseChunkSend, chunkStart, mask)
-		}
+	if len(mb) != 1 {
+		return 0, nil
 	}
-	if sendCh != nil {
-		close(sendCh)
-		<-sendDone
-		if firstErr == nil {
-			firstErr = sendErr
-		}
-	}
-	if firstErr != nil {
-		return &orb.SystemException{RepoID: orb.RepoComm, Message: firstErr.Error()}
-	}
-	return nil
-}
-
-// receiveMoves consumes the expected inbound transfers for one argument on
-// this computing thread and stores them into seq. The wait is bounded by
-// the object's DataTimeout so a client thread that died mid-transfer fails
-// this upcall instead of blocking the collective loop until Close.
-func (o *Object) receiveMoves(bucket *dataBucket, argIdx uint32, expected []dist.Move, seq dseq.Transferable) error {
-	return consumeMoves(bucket.ch, o.stop, o.opts.DataTimeout, argIdx, false, expected, seq)
-}
-
-// attachTimeout bounds how long a return-flow sender waits for a client
-// attachment that has not yet arrived.
-const attachTimeout = 30 * time.Second
-
-// sendMoves ships this computing thread's outbound transfers for one
-// argument back to the client threads over the connections they attached.
-func (o *Object) sendMoves(bucket *dataBucket, token, argIdx uint32, mine []dist.Move, seq dseq.Transferable) error {
-	for _, m := range mine {
-		payload, err := seq.MarshalRange(m.SrcOff, m.Len)
-		if err != nil {
-			return err
-		}
-		conn, err := bucket.conn(m.DstRank, o.stop, attachTimeout)
-		if err != nil {
-			return err
-		}
-		msg := &wire.Data{
-			RequestID: token,
-			ArgIndex:  argIdx,
-			SrcRank:   uint32(o.comm.Rank()),
-			DstRank:   uint32(m.DstRank),
-			DstOff:    uint64(m.DstOff),
-			Count:     uint64(m.Len),
-			Reply:     true,
-			Payload:   payload,
-		}
-		if err := conn.WriteMessage(msg); err != nil {
-			return err
-		}
-	}
-	return nil
+	return mb[0], nil
 }
 
 // safeInvoke contains handler panics.

@@ -8,15 +8,16 @@ import (
 	"repro/internal/rts"
 )
 
-// This file implements the streaming side of the centralized transfer method:
-// instead of gathering a whole sequence at the root and shipping it as one
-// payload, the transfer engine walks a deterministic chunk schedule and moves
-// one global element range at a time, overlapping runtime-system gathers with
-// wire transmission. The range methods below are the per-chunk building
-// blocks. They take an explicit communicator because pipelined invocations
-// run each outstanding request on its own duplicated context (lane) — the
-// sequence's own communicator belongs to the application and must not carry
-// engine traffic that could interleave between overlapping invocations.
+// This file implements the collective side of the centralized transfer
+// method: the transfer engine walks a deterministic schedule of global
+// element ranges — chunks of a streamed transfer, or one whole-range piece
+// per argument — and moves each through the root, overlapping runtime-system
+// gathers with wire transmission. The range methods below are the per-piece
+// building blocks. They take an explicit communicator because pipelined
+// invocations run each outstanding request on its own duplicated context
+// (lane) — the sequence's own communicator belongs to the application and
+// must not carry engine traffic that could interleave between overlapping
+// invocations.
 
 // ErrChunkFailed reports that a peer substituted a fail marker for a chunk:
 // an earlier error was detected elsewhere, and the marker kept the collective
@@ -33,32 +34,6 @@ var FailMarker = []byte{0xFF}
 
 // IsFailMarker reports whether a chunk payload is the failure marker.
 func IsFailMarker(p []byte) bool { return len(p) == 1 && p[0] == 0xFF }
-
-// StreamTransferable is the chunk-granular extension of Transferable. The
-// transfer engines use it to pipeline centralized transfers: chunk k+1 is
-// gathered over the runtime system while chunk k is on the wire. Both
-// methods are collective over c (all of c's ranks call them with identical
-// arguments, in the same order); passing a nil communicator uses the
-// sequence's own.
-type StreamTransferable interface {
-	// GatherMarshalRange collects global elements [start, start+n) at root
-	// and renders them as one chunk payload in global order. Non-root ranks
-	// receive nil. A returned FailMarker payload (in place of an error's nil)
-	// never happens at root — marker propagation is internal — but root
-	// returns ErrChunkFailed when a contributor fed one.
-	GatherMarshalRange(c *rts.Comm, root, start, n int) ([]byte, error)
-	// GatherMarshalRangeZ is GatherMarshalRange with wire compression: mask
-	// is the connection's negotiated zcodec bitmask, replicated across the
-	// ranks by the transfer engine. Mask zero is exactly GatherMarshalRange;
-	// element types without a block codec ignore the mask.
-	GatherMarshalRangeZ(c *rts.Comm, root, start, n int, mask uint8) ([]byte, error)
-	// ScatterUnmarshalRange distributes a chunk payload holding global
-	// elements [start, start+n) (significant at root) into the owning ranks'
-	// local storage. Feeding FailMarker as the payload poisons the chunk:
-	// the collective still runs, owners skip the store, and every
-	// participant with elements in the range returns ErrChunkFailed.
-	ScatterUnmarshalRange(c *rts.Comm, root, start, n int, payload []byte) error
-}
 
 // rangeSeg is the intersection of one of a rank's layout intervals with a
 // requested global range: n elements at localOff in the rank's local buffer,
@@ -117,7 +92,7 @@ func (s *Seq[T]) checkStreamRange(c *rts.Comm, root, start, n int) (*rts.Comm, e
 	return c, nil
 }
 
-// GatherMarshalRange implements StreamTransferable.
+// GatherMarshalRange implements Transferable.
 func (s *Seq[T]) GatherMarshalRange(c *rts.Comm, root, start, n int) ([]byte, error) {
 	return s.GatherMarshalRangeZ(c, root, start, n, 0)
 }
@@ -284,7 +259,7 @@ func (s *Seq[T]) assembleRange(parts [][]byte, start, n int, mask uint8) ([]byte
 	return MarshalChunkZ(s.codec, scratch, mask), nil
 }
 
-// ScatterUnmarshalRange implements StreamTransferable.
+// ScatterUnmarshalRange implements Transferable.
 func (s *Seq[T]) ScatterUnmarshalRange(c *rts.Comm, root, start, n int, payload []byte) error {
 	c, err := s.checkStreamRange(c, root, start, n)
 	if err != nil {

@@ -4,11 +4,12 @@ import (
 	"fmt"
 
 	"repro/internal/dist"
+	"repro/internal/rts"
 )
 
 // This file is the bridge between distributed sequences and the PARDIS
-// transfer engines (internal/core). The engines are element-type agnostic:
-// they manipulate sequences through the Transferable view below, moving
+// transfer engine (internal/core). The engine is element-type agnostic:
+// it manipulates sequences through the Transferable view below, moving
 // opaque marshalled chunks whose encoding the sequence's codec owns.
 
 // Transferable is the engine-facing view of a distributed sequence.
@@ -25,34 +26,39 @@ type Transferable interface {
 	Spec() dist.Spec
 	// MarshalRange renders local elements [off, off+n) as a chunk payload.
 	MarshalRange(off, n int) ([]byte, error)
+	// MarshalRangeZ is MarshalRange compressing with the first codec of mask
+	// that applies to the element type; incompressible or short payloads
+	// fall back to the raw chunk encoding transparently. Receivers need
+	// nothing special: UnmarshalRange auto-detects compressed envelopes.
+	MarshalRangeZ(off, n int, mask uint8) ([]byte, error)
 	// UnmarshalRange stores a chunk payload at local offset off.
 	UnmarshalRange(off int, payload []byte) error
-	// GatherMarshal collects the whole sequence at root and renders it as
-	// one chunk payload (nil at other ranks). Collective.
-	GatherMarshal(root int) ([]byte, error)
-	// ScatterUnmarshal distributes a whole-sequence chunk payload
-	// (significant at root) into every rank's local storage. Collective.
-	ScatterUnmarshal(root int, payload []byte) error
+	// GatherMarshalRange collects global elements [start, start+n) at root
+	// and renders them as one chunk payload in global order. Non-root ranks
+	// receive nil; root returns ErrChunkFailed when a contributor fed a
+	// FailMarker. Collective over c (all of c's ranks call it with identical
+	// arguments, in the same order); a nil c uses the sequence's own
+	// communicator.
+	GatherMarshalRange(c *rts.Comm, root, start, n int) ([]byte, error)
+	// GatherMarshalRangeZ is GatherMarshalRange with wire compression: mask
+	// is the connection's negotiated zcodec bitmask, replicated across the
+	// ranks by the transfer engine. Mask zero is exactly GatherMarshalRange;
+	// element types without a block codec ignore the mask.
+	GatherMarshalRangeZ(c *rts.Comm, root, start, n int, mask uint8) ([]byte, error)
+	// ScatterUnmarshalRange distributes a chunk payload holding global
+	// elements [start, start+n) (significant at root) into the owning ranks'
+	// local storage. Feeding FailMarker as the payload poisons the chunk:
+	// the collective still runs, owners skip the store, and every
+	// participant with elements in the range returns ErrChunkFailed.
+	// Collective, like GatherMarshalRange.
+	ScatterUnmarshalRange(c *rts.Comm, root, start, n int, payload []byte) error
 	// ResizeAlloc reallocates the sequence to a new length using its spec
 	// (Block when unset), discarding contents. Not collective: every rank
 	// must call it with the same length.
 	ResizeAlloc(length int) error
 }
 
-// RangeCompressor is the optional compression-aware extension of
-// Transferable: a sequence that can render a local range as a compressed
-// chunk envelope. Receivers need nothing special — UnmarshalRange
-// auto-detects compressed envelopes — so engines probe for this interface on
-// the sending side only and fall back to MarshalRange. *Seq[T] implements it
-// for every element type with a registered block codec.
-type RangeCompressor interface {
-	// MarshalRangeZ is MarshalRange compressing with the first codec of mask
-	// that applies to the element type; incompressible or short payloads
-	// fall back to the raw chunk encoding transparently.
-	MarshalRangeZ(off, n int, mask uint8) ([]byte, error)
-}
-
-// MarshalRangeZ implements RangeCompressor.
+// MarshalRangeZ implements Transferable.
 func (s *Seq[T]) MarshalRangeZ(off, n int, mask uint8) ([]byte, error) {
 	if off < 0 || n < 0 || off+n > len(s.local) {
 		return nil, fmt.Errorf("%w: local range [%d,%d) of %d", ErrIndex, off, off+n, len(s.local))
@@ -85,31 +91,6 @@ func (s *Seq[T]) UnmarshalRange(off int, payload []byte) error {
 	}
 	_, err := UnmarshalChunkInto(s.codec, payload, s.local[off:])
 	return err
-}
-
-// GatherMarshal implements Transferable.
-func (s *Seq[T]) GatherMarshal(root int) ([]byte, error) {
-	full, err := s.GatherTo(root)
-	if err != nil {
-		return nil, err
-	}
-	if s.comm.Rank() != root {
-		return nil, nil
-	}
-	return MarshalChunk(s.codec, full), nil
-}
-
-// ScatterUnmarshal implements Transferable.
-func (s *Seq[T]) ScatterUnmarshal(root int, payload []byte) error {
-	var full []T
-	if s.comm.Rank() == root {
-		var err error
-		full, err = UnmarshalChunk(s.codec, payload)
-		if err != nil {
-			return err
-		}
-	}
-	return s.ScatterFrom(root, full)
 }
 
 // ResizeAlloc implements Transferable.

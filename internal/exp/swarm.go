@@ -193,6 +193,9 @@ func RunSwarm(cfg SwarmConfig) (SwarmReport, error) {
 	close(sampleStop)
 	samplerWg.Wait()
 
+	// A worker writes its reply before it leaves the in-flight gauge, so the
+	// last client can return a moment before the gauges settle.
+	settleInt64(func() int64 { st := srv.Stats(); return int64(st.InFlight + st.Queued) }, 5*time.Second)
 	report.ServerStats = srv.Stats()
 	snap := reg.Snapshot()
 	if h, ok := snap.Histograms["orb.server.dispatch_ns"]; ok && h.Count > 0 {

@@ -279,6 +279,17 @@ func TestShutdownDrainsInFlightAndShedsNew(t *testing.T) {
 	shutdownDone := make(chan error, 1)
 	go func() { shutdownDone <- srv.Shutdown(ctx) }()
 
+	// Probe only once the drain has begun: a probe admitted before draining
+	// flips would block in the servant until release, which this loop never
+	// reaches.
+	deadline = time.Now().Add(5 * time.Second)
+	for !srv.draining.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("Shutdown never started draining")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
 	// New traffic on the existing connection is shed while draining.
 	deadline = time.Now().Add(5 * time.Second)
 	for {

@@ -858,8 +858,6 @@ func (s *Server) runItem(it workItem) {
 	s.inflight.Add(1)
 	s.dispatched.Add(1)
 	s.handleRequest(it.req, it.sc)
-	s.inflight.Add(-1)
-	it.sc.inflight.Add(-1)
 	if it.arrival != 0 && s.dispatchNS != nil {
 		s.dispatchNS.Observe(time.Duration(time.Now().UnixNano() - it.arrival))
 	}
@@ -882,7 +880,7 @@ func (s *Server) shedRequest(sc *servedConn, req *wire.Request, msg string) {
 }
 
 func (s *Server) handleRequest(req *wire.Request, sc *servedConn) {
-	defer s.handleNS.Done(s.handleNS.Start())
+	handleStart := s.handleNS.Start()
 	out := getReplyEncoder()
 	defer putReplyEncoder(out)
 	status := wire.ReplyNoException
@@ -915,6 +913,13 @@ func (s *Server) handleRequest(req *wire.Request, sc *servedConn) {
 			status = encodeException(out, err)
 		}
 	}
+	// Settle the request's accounting before the reply is written: a client
+	// that holds the reply must find it complete — observed in handle_ns,
+	// and no longer counted in Stats or against the per-connection cap its
+	// next request meets.
+	s.handleNS.Done(handleStart)
+	s.inflight.Add(-1)
+	sc.inflight.Add(-1)
 	if !req.ResponseExpected {
 		return
 	}
